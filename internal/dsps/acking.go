@@ -172,10 +172,15 @@ func withAcking(t *Topology, eng *Engine, ackers int, timeout time.Duration) *To
 
 // sendDirect routes a tuple to one explicit task, bypassing groupings
 // (used by the acker to reach the owning spout task).
+//
+// A local spout is reached through its admission overflow, never a
+// blocking hand-off: acker -> spout closes the local cycle spout -> bolt ->
+// acker -> spout, and the spout drains its input only between emits, so
+// with every queue on that cycle full a blocking hand-off deadlocks.
 func (ex *executor) sendDirect(dst int32, tp *tuple.Tuple) {
 	dw := ex.w.eng.tv().assign.WorkerOf[dst]
 	if dw == ex.w.id {
-		ex.w.enqueueLocal(dst, tp)
+		ex.w.admit(tuple.LocalSrc, dst, tp)
 		return
 	}
 	ex.w.enqueueSend(sendJob{kind: jobPointToPoint, tp: tp, dstTask: dst, dstWorker: dw})

@@ -366,3 +366,45 @@ func TestAckingWithAllGroupingMulticast(t *testing.T) {
 		t.Fatalf("acked=%d failed=%d, want %d/0", acked, failed, n)
 	}
 }
+
+// TestAckerNeverBlocksOnLocalSpout: the acker reaches a local spout through
+// the spout's admission overflow, so a full spout input queue cannot wedge
+// the acker — with a blocking hand-off, spout -> bolt -> acker -> spout
+// deadlocks once every queue on that cycle is full.
+func TestAckerNeverBlocksOnLocalSpout(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &reliableSpout{} }, 1)
+	b.Bolt("sink", func() Bolt { return sinkAckBolt{} }, 1).Shuffle("src")
+	topo, _ := b.Build()
+	eng, err := Start(topo, Config{
+		Workers: 1, Network: transport.NewInprocNetwork(0), AckEnabled: true,
+		ExecutorQueueCap: 2, DrainTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	eng.WaitSpouts() // the empty spout exits and stops draining its input
+	var spout, acker *executor
+	for _, ex := range eng.workers[0].execMap() {
+		switch {
+		case ex.spout != nil:
+			spout = ex
+		case ex.ctx.OperatorID == ackerOperatorID:
+			acker = ex
+		}
+	}
+	for len(spout.in) < cap(spout.in) {
+		spout.in <- tuple.AddressedTuple{TaskID: spout.ctx.TaskID, Src: tuple.LocalSrc, Data: &tuple.Tuple{}}
+	}
+	returned := make(chan struct{})
+	go func() {
+		acker.sendDirect(spout.ctx.TaskID, &tuple.Tuple{})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("acker blocked handing a tuple to a spout whose input queue is full")
+	}
+}

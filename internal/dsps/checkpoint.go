@@ -567,10 +567,8 @@ func (c *checkpointCoordinator) applyRescaleLocked(epoch int64) {
 		w.addExecutor(ex)
 		w.wg.Add(1)
 		go ex.runBolt()
-		if w.fc != nil {
-			w.wg.Add(1)
-			go ex.feed()
-		}
+		w.wg.Add(1)
+		go ex.feed()
 	}
 	e.view.Store(&topoView{assign: na, remoteBy: buildRemote(e.topo, na, e.cfg.MaxWorkers)})
 	c.tasks = c.tasks[:0]

@@ -125,12 +125,12 @@ type Config struct {
 
 	// CreditWindow is the per-link credit window in delivery units: the
 	// maximum units a sender may have outstanding (charged but not granted
-	// back) toward one destination worker (default 4096; negative disables
-	// flow control entirely). The default is deliberately several times the
-	// per-hop buffering of the uncontrolled transport: the window must
-	// cover the grant round-trip at full rate, including scheduling delay
-	// on loaded hosts, or the credit protocol itself becomes the
-	// bottleneck.
+	// back) toward one destination worker (default 4096 when <= 0). Every
+	// engine runs the credit protocol; a single-worker engine never sends
+	// remotely, so its links stay idle. The default is deliberately several
+	// times the transport's own per-hop buffering: the window must cover
+	// the grant round-trip at full rate, including scheduling delay on
+	// loaded hosts, or the credit protocol itself becomes the bottleneck.
 	CreditWindow int
 	// LinkQueueCap bounds each flow-controlled link's send queue
 	// (default 4096).
@@ -234,11 +234,8 @@ func (c Config) withDefaults() Config {
 	if c.SendRetryBase <= 0 {
 		c.SendRetryBase = 200 * time.Microsecond
 	}
-	switch {
-	case c.CreditWindow == 0:
+	if c.CreditWindow <= 0 {
 		c.CreditWindow = 4096
-	case c.CreditWindow < 0:
-		c.CreditWindow = 0
 	}
 	if c.LinkQueueCap <= 0 {
 		c.LinkQueueCap = 4096
@@ -528,17 +525,13 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 				w.wg.Add(1)
 				go ex.runBolt()
 			}
-			if w.fc != nil {
-				w.wg.Add(1)
-				go ex.feed()
-			}
+			w.wg.Add(1)
+			go ex.feed()
 		}
 		w.sendWG.Add(1)
 		go w.sendLoop()
-		if w.fc != nil {
-			w.wg.Add(1)
-			go w.deliverLoop()
-		}
+		w.wg.Add(1)
+		go w.deliverLoop()
 	}
 	for _, mgr := range eng.managers {
 		if !mgr.adaptive {
@@ -561,10 +554,8 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 		eng.auxWG.Add(1)
 		go eng.ackTicker()
 	}
-	if cfg.CreditWindow > 0 && cfg.MaxWorkers > 1 {
-		eng.auxWG.Add(1)
-		go eng.creditTicker()
-	}
+	eng.auxWG.Add(1)
+	go eng.creditTicker()
 	if eng.ckpt != nil {
 		eng.auxWG.Add(1)
 		go eng.ckpt.run()
@@ -976,7 +967,7 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 				empty = false
 				break
 			}
-			if w.fc != nil && w.fc.queued() > 0 {
+			if w.fc.queued() > 0 {
 				empty = false
 				break
 			}
@@ -1045,9 +1036,7 @@ func (e *Engine) Stop() {
 	// Flow links drain after the send loops stop feeding them; credit
 	// waits were already released by e.stopping.
 	for _, w := range e.workers {
-		if w.fc != nil {
-			w.fc.close()
-		}
+		w.fc.close()
 	}
 	// Best-effort teardown: workers are already joined, so a close error
 	// here has no one left to act on it.

@@ -186,6 +186,42 @@ func TestAllGroupingOverRDMA(t *testing.T) {
 	}
 }
 
+// TestRDMAChannelCountersRegistered: the per-worker rdma series carry the
+// receiver-side poll counter (one-sided READ) and the pipelined-flush
+// counter (one-sided WRITE) after a real transfer, summed over every
+// channel of the worker rather than over dialed channels alone.
+func TestRDMAChannelCountersRegistered(t *testing.T) {
+	for _, tc := range []struct {
+		mode    rdma.Mode
+		counter string
+	}{
+		{rdma.ModeOneSidedRead, "cq_polls"},
+		{rdma.ModeOneSidedWrite, "wr_flushes"},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			scope := obs.NewScope(obs.Config{})
+			b := NewTopologyBuilder()
+			b.Spout("src", func() Spout { return &countSpout{n: 50, keys: 2} }, 1)
+			b.Bolt("x", func() Bolt { return &captureBolt{cap: newCapture()} }, 4).All("src")
+			topo, _ := b.Build()
+			cfg := rdmaCfg()
+			cfg.Mode = tc.mode
+			runUntilDrained(t, topo, Config{
+				Workers: 2, Network: transport.NewRDMANetwork(rdmaCost(), cfg),
+				Comm: WorkerOriented, Multicast: MulticastStar, Obs: scope,
+			})
+			snap := scope.Reg.Snapshot()
+			var sum int64
+			for w := 0; w < 2; w++ {
+				sum += snap.Counters[fmt.Sprintf("worker.%d.rdma.%s", w, tc.counter)]
+			}
+			if sum == 0 {
+				t.Fatalf("worker.N.rdma.%s stayed zero after a %v transfer", tc.counter, tc.mode)
+			}
+		})
+	}
+}
+
 func TestFieldsGroupingRoutesByKey(t *testing.T) {
 	const n = 400
 	cap := newCapture()

@@ -99,13 +99,13 @@ type executor struct {
 
 	ops *opMetrics
 
-	// Admission overflow (flow-controlled mode only): remote tuples that
-	// found the input queue full are parked here and moved into `in` by the
-	// feeder goroutine, so the worker's delivery loop never blocks on one
-	// slow executor — a stalled task stops its own senders (grants are
-	// issued only when a tuple wins a queue seat), not its siblings'.
-	// Occupancy is bounded by the credit protocol: once grants stall, every
-	// upstream sender stops within its window.
+	// Admission overflow: remote tuples that found the input queue full
+	// are parked here and moved into `in` by the feeder goroutine, so the
+	// worker's delivery loop never blocks on one slow executor — a stalled
+	// task stops its own senders (grants are issued only when a tuple wins
+	// a queue seat), not its siblings'. Occupancy is bounded by the credit
+	// protocol: once grants stall, every upstream sender stops within its
+	// window.
 	ovMu     sync.Mutex
 	overflow []tuple.AddressedTuple
 	// ovStampNS parallels overflow: the park timestamp of traced tuples
@@ -148,9 +148,7 @@ func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignm
 		in:     make(chan tuple.AddressedTuple, queueDepth),
 		ops:    ops,
 		rng:    rand.New(rand.NewSource(int64(ctx.TaskID)*7919 + 1)),
-	}
-	if w.fc != nil {
-		ex.ovKick = make(chan struct{}, 1)
+		ovKick: make(chan struct{}, 1),
 	}
 	ex.col = &Collector{ex: ex}
 	if spec.IsSpout {
@@ -205,7 +203,6 @@ func (ex *executor) rebuildRouting() {
 
 // feed drains the admission overflow into the executor's input queue in
 // arrival order, granting each tuple's delivery unit once it wins a seat.
-// Runs only in flow-controlled mode.
 func (ex *executor) feed() {
 	defer ex.w.wg.Done()
 	for {
@@ -244,9 +241,6 @@ func (ex *executor) feed() {
 
 // overflowLen reports the admission overflow depth (drain accounting).
 func (ex *executor) overflowLen() int {
-	if ex.ovKick == nil {
-		return 0
-	}
 	ex.ovMu.Lock()
 	defer ex.ovMu.Unlock()
 	return len(ex.overflow)

@@ -312,7 +312,8 @@ func TestBackpressureMetricsRegistered(t *testing.T) {
 // TestStopUnblocksSendRetryBackoff is the regression test for send-retry
 // backoff being bounded by engine lifetime: with a severed link and a long
 // retry schedule, Stop must interrupt the backoff wait instead of sleeping
-// it out per queued send.
+// it out per queued send. The backoff runs inside the flow link's sender
+// goroutine, which Stop must also be able to join promptly.
 func TestStopUnblocksSendRetryBackoff(t *testing.T) {
 	net := chaos.Wrap(transport.NewInprocNetwork(0), chaos.Config{Seed: 1})
 	net.Partition(0, 1)
@@ -323,8 +324,7 @@ func TestStopUnblocksSendRetryBackoff(t *testing.T) {
 	topo, _ := b.Build()
 	eng, err := Start(topo, Config{
 		Workers: 2, Network: net, Comm: WorkerOriented,
-		CreditWindow: -1, // exercise the direct send path
-		SendRetries:  10, SendRetryBase: 2 * time.Second,
+		SendRetries: 10, SendRetryBase: 2 * time.Second,
 		DrainTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -389,16 +389,7 @@ func TestCreditGrantClampAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Stop()
-	var w *worker
-	for _, cand := range eng.workers {
-		if cand.fc != nil {
-			w = cand
-			break
-		}
-	}
-	if w == nil {
-		t.Fatal("flow control not enabled")
-	}
+	w := eng.workers[0]
 	l := w.fc.linkTo((w.id + 1) % 2)
 	l.mu.Lock()
 	l.sent = 10
@@ -416,5 +407,28 @@ func TestCreditGrantClampAndMerge(t *testing.T) {
 	l.mu.Unlock()
 	if granted != 10 {
 		t.Fatalf("granted = %d after stale grant, want 10", granted)
+	}
+}
+
+// TestNegativeCreditWindowUsesDefault: a non-positive CreditWindow selects
+// the default window — there is no configuration without credit flow
+// control.
+func TestNegativeCreditWindowUsesDefault(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("x", func() Bolt { return &captureBolt{cap: newCapture()} }, 1).Global("src")
+	topo, _ := b.Build()
+	eng, err := Start(topo, Config{
+		Workers: 2, Network: transport.NewInprocNetwork(0), Comm: WorkerOriented,
+		CreditWindow: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	for _, w := range eng.workers {
+		if w.fc.window != 4096 {
+			t.Fatalf("worker %d credit window = %d, want the default 4096", w.id, w.fc.window)
+		}
 	}
 }

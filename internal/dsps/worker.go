@@ -92,11 +92,11 @@ func (g *groupState) activate(version int32) {
 	g.mu.Unlock()
 }
 
-// inboundData is one raw data message staged for the delivery goroutine
-// (flow-controlled mode only). Transports hand the handler ownership of the
-// payload, so staging the raw bytes is safe without a copy; decoding is
-// deferred to the delivery goroutine, which owns a single reusable
-// WorkerMessage scratch instead of allocating one per message.
+// inboundData is one raw data message staged for the delivery goroutine.
+// Transports hand the handler ownership of the payload, so staging the raw
+// bytes is safe without a copy; decoding is deferred to the delivery
+// goroutine, which owns a single reusable WorkerMessage scratch instead of
+// allocating one per message.
 type inboundData struct {
 	from int32
 	raw  []byte // the full encoded message, also forwarded verbatim by relays
@@ -138,9 +138,9 @@ type worker struct {
 	execQueueWaitNS atomic.Int64
 	replayNS        atomic.Int64
 
-	// Staged inbound data messages (flow-controlled mode): the transport
-	// handler appends, the delivery goroutine drains. Guarded by stageMu;
-	// stageKick is the cap-1 wakeup.
+	// Staged inbound data messages: the transport handler appends, the
+	// delivery goroutine drains. Guarded by stageMu; stageKick is the cap-1
+	// wakeup.
 	stageMu   sync.Mutex
 	staged    []inboundData
 	stageKick chan struct{}
@@ -157,10 +157,8 @@ func newWorker(eng *Engine, id int32) *worker {
 	}
 	w.execs.Store(&map[int32]*executor{})
 	w.rngState.Store(uint64(id)*104729 + 7)
-	if eng.cfg.CreditWindow > 0 && eng.cfg.MaxWorkers > 1 {
-		w.fc = newFlowControl(w)
-		w.stageKick = make(chan struct{}, 1)
-	}
+	w.fc = newFlowControl(w)
+	w.stageKick = make(chan struct{}, 1)
 	return w
 }
 
@@ -180,24 +178,16 @@ func (w *worker) addExecutor(ex *executor) {
 	w.execs.Store(&next)
 }
 
-// sendData routes one encoded data message to dst through flow control
-// when enabled, or straight to the retrying transport path otherwise. The
-// flow-controlled path always reports true: delivery becomes asynchronous.
+// sendData queues one encoded data message toward dst on its flow link,
+// where it waits for credit; delivery is asynchronous.
 //
 // sb is the pooled buffer backing raw (nil when raw is not pooled, e.g.
-// relayed inbound bytes); sendData consumes exactly one reference to it on
-// every path — synchronously here once the transport has copied the
-// payload, or downstream in the flow link once the item leaves the queue.
+// relayed inbound bytes); sendData consumes exactly one reference to it:
+// the flow link releases it once the item leaves the queue.
 //
 //whale:owns sb
-func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64, tracked bool) bool {
-	if w.fc != nil {
-		w.fc.push(dst, flowItem{raw: raw, buf: sb, cost: cost, tuples: tuples, tracked: tracked})
-		return true
-	}
-	ok := w.send(dst, raw)
-	sb.release()
-	return ok
+func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64, tracked bool) {
+	w.fc.push(dst, flowItem{raw: raw, buf: sb, cost: cost, tuples: tuples, tracked: tracked})
 }
 
 // grantData credits n delivery units back to the upstream sender src. Local
@@ -205,7 +195,7 @@ func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64
 //
 //whale:grants
 func (w *worker) grantData(src int32, n int64) {
-	if w.fc == nil || n <= 0 || src < 0 || int(src) >= len(w.eng.workers) {
+	if n <= 0 || src < 0 || int(src) >= len(w.eng.workers) {
 		return
 	}
 	w.fc.grant(src, n)
@@ -225,56 +215,51 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 	}
 }
 
-// enqueueRemote delivers a remotely received tuple to a local executor and
-// grants the delivery unit back once the tuple is seated in the executor's
-// input queue. Granting on admission — not on executor drain — matters on
+// admit delivers a tuple to a local executor without blocking and grants
+// the delivery unit back to from once the tuple is seated in the
+// executor's input queue. from is the sending worker for remote tuples, or
+// tuple.LocalSrc (which owes no credit) for the acker's local hand-off to a
+// spout. Granting on admission — not on executor drain — matters on
 // cyclic worker graphs: an executor can block mid-Execute on its own
 // credit-starved downstream emit, and drain-time grants then let two
 // mutually-loaded workers starve each other into timeout-paced stalls.
-// In flow-controlled mode a full input queue parks the tuple on the
-// executor's admission overflow instead of blocking: the delivery loop
-// must keep moving so one slow executor only starves its own senders
-// (grants for its tuples stall at the feeder) while siblings on the same
-// worker keep receiving and granting. It reports whether the tuple entered
-// an executor queue — a missing executor means the unit must be granted
-// back by the caller instead.
+// A full input queue parks the tuple on the executor's admission overflow
+// instead of blocking: the delivery loop must keep moving so one slow
+// executor only starves its own senders (grants for its tuples stall at
+// the feeder) while siblings on the same worker keep receiving and
+// granting. It reports whether the tuple entered an executor queue — a
+// missing executor means the unit must be granted back by the caller
+// instead.
 //
 //whale:grants
-func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
+func (w *worker) admit(from int32, dst int32, tp *tuple.Tuple) bool {
 	ex, ok := w.execMap()[dst]
 	if !ok {
 		w.eng.metrics.RouteErrors.Inc()
 		return false
 	}
 	at := tuple.AddressedTuple{TaskID: dst, Src: from, Data: tp}
-	if w.fc != nil {
-		ex.ovMu.Lock()
-		if len(ex.overflow) == 0 {
-			select {
-			case ex.in <- at:
-				ex.ovMu.Unlock()
-				w.grantData(from, 1)
-				return true
-			default:
-			}
+	ex.ovMu.Lock()
+	if len(ex.overflow) == 0 {
+		select {
+		case ex.in <- at:
+			ex.ovMu.Unlock()
+			w.grantData(from, 1)
+			return true
+		default:
 		}
-		// Parked: stamp traced tuples so the feeder can attribute the
-		// overflow residency as an executor-queue-wait stall (sampled —
-		// untraced tuples carry a zero stamp and pay no clock read).
-		var stamp int64
-		if tp.TraceID != 0 {
-			stamp = time.Now().UnixNano()
-		}
-		ex.overflow = append(ex.overflow, at)
-		ex.ovStampNS = append(ex.ovStampNS, stamp)
-		ex.ovMu.Unlock()
-		signal(ex.ovKick)
-		return true
 	}
-	select {
-	case ex.in <- at:
-	case <-w.done:
+	// Parked: stamp traced tuples so the feeder can attribute the
+	// overflow residency as an executor-queue-wait stall (sampled —
+	// untraced tuples carry a zero stamp and pay no clock read).
+	var stamp int64
+	if tp.TraceID != 0 {
+		stamp = time.Now().UnixNano()
 	}
+	ex.overflow = append(ex.overflow, at)
+	ex.ovStampNS = append(ex.ovStampNS, stamp)
+	ex.ovMu.Unlock()
+	signal(ex.ovKick)
 	return true
 }
 
@@ -379,9 +364,7 @@ func (w *worker) process(j sendJob) {
 		t1 := time.Now()
 		sb := acquireSendBuf()
 		sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
-		if !w.sendData(j.dstWorker, sb.b, sb, 1, 1, tupleTracked(j.tp)) {
-			return
-		}
+		w.sendData(j.dstWorker, sb.b, sb, 1, 1, tupleTracked(j.tp))
 		w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t1, time.Since(t1))
 		w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
 
@@ -407,9 +390,7 @@ func (w *worker) process(j sendJob) {
 			}
 			sb := acquireSendBuf()
 			sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
-			if !w.sendData(dw, sb.b, sb, cost, n, tupleTracked(j.tp)) {
-				continue
-			}
+			w.sendData(dw, sb.b, sb, cost, n, tupleTracked(j.tp))
 			w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t0, time.Since(t0))
 			w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
 		}
@@ -446,9 +427,7 @@ func (w *worker) process(j sendJob) {
 		for _, child := range children {
 			w.pushBlockedNS = 0
 			t0 := time.Now()
-			if !w.sendData(child, sb.b, sb, w.multicastCost(j.group, child), int64(len(w.eng.groupLocalTasks(j.group, child))), tupleTracked(j.tp)) {
-				continue
-			}
+			w.sendData(child, sb.b, sb, w.multicastCost(j.group, child), int64(len(w.eng.groupLocalTasks(j.group, child))), tupleTracked(j.tp))
 			// Source hop: depth 0, fan-out = this worker's child count.
 			w.eng.obs.Tracer.RecordHop(j.tp.TraceID, obs.StageRDMASlice, w.id,
 				child, version, 0, int32(len(children)), t0, time.Since(t0))
@@ -578,70 +557,49 @@ func (w *worker) recordTe(srcTask int32, d time.Duration) {
 
 // dispatch is the transport inbound handler: Whale's dispatcher component.
 //
-// Without flow control it delivers data inline (the seed behavior). With
-// flow control on, data messages are staged to a worker-local queue drained
-// by a dedicated delivery goroutine while control messages keep being
-// handled inline — crucially including CtrlCredit grants. With a single
-// serial inbound handler, a grant queued behind data wedges the whole
-// worker: the delivery path can block on a full executor queue whose bolt
-// is itself blocked emitting on a credit-starved link, and the grant that
-// would reopen that link then sits unprocessed behind the data in front of
-// it — a distributed cycle broken only by the credit timeout. Handling
-// control inline makes grant processing independent of data-path progress.
-// The staged queue is unbounded but its occupancy is bounded by the credit
-// protocol itself: no sender can have more than a window of units in
-// flight, so staging holds at most the sum of the incoming links' windows.
+// Data messages are staged to a worker-local queue drained by a dedicated
+// delivery goroutine while control messages are handled inline — crucially
+// including CtrlCredit grants. With a single serial inbound handler, a
+// grant queued behind data wedges the whole worker: the delivery path can
+// block on a full executor queue whose bolt is itself blocked emitting on
+// a credit-starved link, and the grant that would reopen that link then
+// sits unprocessed behind the data in front of it — a distributed cycle
+// broken only by the credit timeout. Handling control inline makes grant
+// processing independent of data-path progress. The staged queue is
+// unbounded but its occupancy is bounded by the credit protocol itself: no
+// sender can have more than a window of units in flight, so staging holds
+// at most the sum of the incoming links' windows.
 func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 	// Any inbound message is liveness evidence; explicit heartbeats only
 	// matter on otherwise-idle links.
 	if fd := w.eng.detector; fd != nil && w.id == fd.monitor {
 		fd.observe(from)
 	}
-	if w.fc != nil {
-		// Peek the kind byte instead of decoding: control stays inline, data
-		// is staged raw and decoded by the delivery goroutine's scratch.
-		if tuple.MessageKind(payload) == tuple.KindControl {
-			msg, _, err := tuple.DecodeWorkerMessage(payload)
-			if err != nil {
-				w.eng.metrics.DecodeErrors.Inc()
-				return
-			}
-			cm, _, err := tuple.DecodeControlMessage(msg.Payload)
-			if err != nil {
-				w.eng.metrics.DecodeErrors.Inc()
-				return
-			}
-			w.handleControl(from, cm)
+	// Peek the kind byte instead of decoding: control stays inline, data is
+	// staged raw and decoded by the delivery goroutine's scratch.
+	if tuple.MessageKind(payload) == tuple.KindControl {
+		msg, _, err := tuple.DecodeWorkerMessage(payload)
+		if err != nil {
+			w.eng.metrics.DecodeErrors.Inc()
 			return
 		}
-		w.stageMu.Lock()
-		w.staged = append(w.staged, inboundData{from: int32(from), raw: payload})
-		w.stageMu.Unlock()
-		signal(w.stageKick)
+		cm, _, err := tuple.DecodeControlMessage(msg.Payload)
+		if err != nil {
+			w.eng.metrics.DecodeErrors.Inc()
+			return
+		}
+		w.handleControl(from, cm)
 		return
 	}
-	// Inline delivery can run concurrently (one handler invocation per
-	// inbound link), so the decode scratch comes from a pool rather than a
-	// single worker-owned struct.
-	m := wmsgPool.Get().(*tuple.WorkerMessage)
-	if _, err := tuple.DecodeWorkerMessageInto(m, payload); err != nil {
-		w.eng.metrics.DecodeErrors.Inc()
-	} else {
-		w.deliverData(from, m, payload)
-	}
-	m.Payload = nil // drop the payload reference before pooling
-	wmsgPool.Put(m)
+	w.stageMu.Lock()
+	w.staged = append(w.staged, inboundData{from: int32(from), raw: payload})
+	w.stageMu.Unlock()
+	signal(w.stageKick)
 }
 
-// wmsgPool recycles WorkerMessage decode scratch for the inline dispatch
-// path. deliverData never retains the message struct (only the payload
-// bytes, which it does not own), so pooling after delivery is safe.
-var wmsgPool = sync.Pool{New: func() any { return new(tuple.WorkerMessage) }}
-
-// deliverLoop drains the staged inbound data queue in arrival order. Only
-// runs in flow-controlled mode; it may block on executor admission or a
-// full transfer queue — that blocking is the backpressure signal (grants
-// are withheld), and it never delays control-message processing.
+// deliverLoop drains the staged inbound data queue in arrival order. It may
+// block on a full transfer queue — that blocking is the backpressure signal
+// (grants are withheld), and it never delays control-message processing.
 func (w *worker) deliverLoop() {
 	defer w.wg.Done()
 	// Single-goroutine decode scratch: DstIDs capacity is reused across
@@ -673,9 +631,6 @@ func (w *worker) deliverLoop() {
 // stagedLen reports the number of staged inbound data messages (drain
 // accounting).
 func (w *worker) stagedLen() int {
-	if w.fc == nil {
-		return 0
-	}
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()
 	return len(w.staged)
@@ -708,7 +663,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		}
 		var delivered int64
 		for _, dst := range msg.DstIDs {
-			if w.enqueueRemote(src, dst, tp) {
+			if w.admit(src, dst, tp) {
 				delivered++
 			}
 		}
@@ -768,22 +723,14 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		}
 		t1 := time.Now()
 		for _, dst := range w.eng.groupLocalTasks(msg.Group, w.id) {
-			if !w.enqueueRemote(src, dst, tp) {
+			if !w.admit(src, dst, tp) {
 				w.grantData(src, 1)
 			}
 		}
 		w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
 			src, msg.TreeVersion, hopDepth, 0, t1, time.Since(t1))
 
-	case tuple.KindControl:
-		cm, _, err := tuple.DecodeControlMessage(msg.Payload)
-		if err != nil {
-			w.eng.metrics.DecodeErrors.Inc()
-			return
-		}
-		w.handleControl(from, cm)
-
-	default:
+	default: // control messages never get here: dispatch handles them inline
 		w.eng.metrics.DecodeErrors.Inc()
 	}
 }
@@ -818,9 +765,7 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 		}
 
 	case tuple.CtrlCredit:
-		if w.fc != nil {
-			w.fc.onGrant(int32(from), cm.Credits)
-		}
+		w.fc.onGrant(int32(from), cm.Credits)
 
 	case tuple.CtrlSnapAck:
 		if cc := w.eng.ckpt; cc != nil {

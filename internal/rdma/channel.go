@@ -143,6 +143,22 @@ type StatsSnapshot struct {
 	WRDepthSum, WRFlushes             int64
 }
 
+// Add accumulates o into s field by field (aggregation across channels).
+func (s *StatsSnapshot) Add(o StatsSnapshot) {
+	s.MsgsSent += o.MsgsSent
+	s.BytesSent += o.BytesSent
+	s.WorkRequests += o.WorkRequests
+	s.SizeFlushes += o.SizeFlushes
+	s.TimerFlushes += o.TimerFlushes
+	s.MsgsRecv += o.MsgsRecv
+	s.BytesRecv += o.BytesRecv
+	s.BlockedNS += o.BlockedNS
+	s.CQPollNS += o.CQPollNS
+	s.CQPolls += o.CQPolls
+	s.WRDepthSum += o.WRDepthSum
+	s.WRFlushes += o.WRFlushes
+}
+
 // Channel is a unidirectional, reliable, ordered message channel between
 // two devices, with Whale's stream slicing (MMS) and wait-time-limit (WTL)
 // batching. The dialing side sends; the accepting side receives.

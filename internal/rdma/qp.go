@@ -125,12 +125,21 @@ func (c *CQ) Poll(max int) []WC {
 }
 
 // Wait blocks until one completion arrives or the timeout elapses; ok is
-// false on timeout.
+// false on timeout. A completion already queued is returned without arming
+// a timer; otherwise the timer is stopped on return, so a poll loop waiting
+// with a long timeout leaves no live timers behind.
 func (c *CQ) Wait(timeout time.Duration) (WC, bool) {
 	select {
 	case wc := <-c.ch:
 		return wc, true
-	case <-time.After(timeout):
+	default:
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case wc := <-c.ch:
+		return wc, true
+	case <-t.C:
 		return WC{}, false
 	}
 }

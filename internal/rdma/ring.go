@@ -62,15 +62,17 @@ func (r *Ring) refreshTail() error {
 	return nil
 }
 
-// Occupancy returns the bytes currently published but not yet known to be
-// consumed, from the producer's cached view of the tail (an upper bound:
-// the consumer may have advanced further). Callers must serialise with the
-// producer (the owning channel holds its send lock).
+// Occupancy returns the bytes currently published but not yet consumed,
+// read from the region's control words in one access. It writes no
+// producer state, so it is safe to call concurrently with Append.
 func (r *Ring) Occupancy() int {
-	// A failed refresh leaves the cached tail, which is still a valid
-	// upper bound on occupancy.
-	_ = r.refreshTail()
-	return int(r.head - r.tail)
+	var b [16]byte
+	if err := r.mr.ReadAt(b[:], ringHeadOff); err != nil {
+		return 0
+	}
+	head := binary.LittleEndian.Uint64(b[ringHeadOff:])
+	tail := binary.LittleEndian.Uint64(b[ringTailOff:])
+	return int(head - tail)
 }
 
 // Free returns the bytes currently available for appending.

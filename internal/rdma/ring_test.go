@@ -335,3 +335,42 @@ func TestQuickRingRandomInterleavings(t *testing.T) {
 		}
 	}
 }
+
+// TestRingOccupancyConcurrentWithAppend: the flow controller probes
+// Occupancy from its own goroutine while the channel's flusher appends, so
+// the probe must not write producer state. Under -race this fails if
+// Occupancy shares a written field with Append; in any mode every reading
+// must stay within the data area.
+func TestRingOccupancyConcurrentWithAppend(t *testing.T) {
+	prod, cons, cq := ringPair(t, 16+256)
+	done := make(chan struct{})
+	bad := make(chan int, 1)
+	go func() {
+		defer close(bad)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if occ := prod.Occupancy(); occ < 0 || occ > prod.DataSize() {
+				bad <- occ
+				return
+			}
+		}
+	}()
+	frame := make([]byte, 40)
+	for i := 0; i < 500; i++ {
+		if err := prod.Append(frame); err == ErrRingFull {
+			if _, err := cons.Poll(cq, func([]byte) {}); err != nil {
+				t.Fatal(err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if occ, ok := <-bad; ok {
+		t.Fatalf("occupancy %d outside [0, %d]", occ, prod.DataSize())
+	}
+}

@@ -401,3 +401,22 @@ func TestPostErrorSentinels(t *testing.T) {
 		t.Fatalf("closed PostRecv = %v, want ErrQPClosed", err)
 	}
 }
+
+// TestCQWaitQueuedCompletionAllocFree: ring polls call Wait with a long
+// timeout on every poll, so a completion that is already queued must be
+// returned without arming (and allocating) a timer.
+func TestCQWaitQueuedCompletionAllocFree(t *testing.T) {
+	cq := NewCQ(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		cq.push(WC{WRID: 7})
+		if wc, ok := cq.Wait(10 * time.Second); !ok || wc.WRID != 7 {
+			t.Fatalf("Wait = %+v, %v", wc, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Wait with a queued completion allocated %.1f times per call, want 0", allocs)
+	}
+	if _, ok := cq.Wait(time.Millisecond); ok {
+		t.Fatal("Wait on an empty CQ reported a completion")
+	}
+}

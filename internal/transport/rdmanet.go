@@ -50,6 +50,9 @@ func (n *RDMANetwork) Register(id WorkerID, h Handler) (Transport, error) {
 		if perr != nil {
 			return
 		}
+		t.acceptMu.Lock()
+		t.accepted = append(t.accepted, ch)
+		t.acceptMu.Unlock()
 		ch.SetHandler(func(msg []byte) {
 			t.stats.MsgsRecv.Add(1)
 			t.stats.BytesRecv.Add(int64(len(msg)))
@@ -95,7 +98,14 @@ type rdmaTransport struct {
 	handler Handler
 
 	mu    sync.Mutex
-	chans map[WorkerID]*rdma.Channel
+	chans map[WorkerID]*rdma.Channel // dialed: this worker sends on them
+
+	// accepted are the inbound channels peers dialed to this worker, which
+	// hold the receiver-side counters (CQ polls). A lock of its own: the
+	// accept hook runs inside the peer's Dial, which holds the peer's mu,
+	// so taking mu here could deadlock two workers dialing each other.
+	acceptMu sync.Mutex
+	accepted []*rdma.Channel
 
 	stats     Stats
 	closeOnce sync.Once
@@ -165,21 +175,20 @@ func (t *rdmaTransport) Pressure(to WorkerID) int {
 	return ch.PressurePct()
 }
 
-// ChannelStats aggregates the underlying rdma channel counters (for the
-// MMS/WTL microbenchmarks).
+// ChannelStats aggregates every counter of this worker's rdma channels,
+// dialed (sender side) and accepted (receiver side).
 func (t *rdmaTransport) ChannelStats() rdma.StatsSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var agg rdma.StatsSnapshot
+	t.mu.Lock()
 	for _, ch := range t.chans {
-		s := ch.Stats()
-		agg.MsgsSent += s.MsgsSent
-		agg.BytesSent += s.BytesSent
-		agg.WorkRequests += s.WorkRequests
-		agg.SizeFlushes += s.SizeFlushes
-		agg.TimerFlushes += s.TimerFlushes
-		agg.BlockedNS += s.BlockedNS
+		agg.Add(ch.Stats())
 	}
+	t.mu.Unlock()
+	t.acceptMu.Lock()
+	for _, ch := range t.accepted {
+		agg.Add(ch.Stats())
+	}
+	t.acceptMu.Unlock()
 	return agg
 }
 

@@ -253,8 +253,8 @@ func (c *Cluster) Drain(timeout time.Duration) bool { return c.eng.Drain(timeout
 // (0 when no adaptive group exists).
 func (c *Cluster) ActiveDstar() int { return c.eng.ActiveDstar() }
 
-// LinkStats snapshots every flow-controlled link (empty when credit flow
-// control is disabled).
+// LinkStats snapshots every worker-to-worker link the credit flow control
+// has opened (empty until a worker sends remotely).
 func (c *Cluster) LinkStats() []LinkStat { return c.eng.LinkStats() }
 
 // BottleneckReport folds the cluster's stall and utilization counters into
